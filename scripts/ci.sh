@@ -254,18 +254,24 @@ else
   exit 1
 fi
 
-# Shard stress under ThreadSanitizer: the per-shard shared_mutex
-# discipline is only really exercised with race detection on. Skip
-# gracefully where the toolchain has no -fsanitize=thread.
+# Shard stress and the thread pool under ThreadSanitizer: the per-shard
+# shared_mutex discipline (including the parallel fan-out's workers) and
+# ParallelFor's per-call join are only really exercised with race
+# detection on. util_test runs through ctest so its timeout turns a
+# ParallelFor deadlock into a failure. Skip gracefully where the
+# toolchain has no -fsanitize=thread.
 if echo 'int main(){}' | "${CXX:-c++}" -fsanitize=thread -x c++ - \
      -o /dev/null 2>/dev/null; then
   cmake --preset tsan >/dev/null
   cmake --build --preset tsan -j "${JOBS}" \
-    --target realtime_shard_stress_test
+    --target realtime_shard_stress_test util_test
   ./build/tsan/tests/realtime_shard_stress_test
   echo "tsan shard stress: OK"
+  ctest --preset tsan -R '^util_test$' --output-on-failure
+  echo "tsan thread pool: OK"
 else
-  echo "tsan shard stress: SKIPPED (-fsanitize=thread unavailable)"
+  echo "tsan shard stress + thread pool: SKIPPED" \
+       "(-fsanitize=thread unavailable)"
 fi
 
 # Server front-end smoke: start the sccf_server daemon on an ephemeral

@@ -128,6 +128,7 @@ Status RealTimeService::BuildShard(
     SCCF_RETURN_NOT_OK(
         shard->index->Add(users[i]->user, embeddings.data() + i * d));
   }
+  PublishScanRows(*shard);
   return Status::OK();
 }
 
@@ -233,11 +234,31 @@ StatusOr<std::vector<index::Neighbor>> RealTimeService::SearchAllShards(
   if (shards_.size() == 1) {  // single-shard fast path: no merge layer
     return SearchShard(*shards_[0], query, k, exclude_user);
   }
+  const size_t d = model_->embedding_dim();
+  const size_t row_bytes =
+      options_.storage == quant::Storage::kSq8 ? d + 8 : sizeof(float) * d;
+  size_t rows = 0;
+  for (const auto& shard : shards_) rows += shard->scan_rows.load();
+
   std::vector<std::vector<index::Neighbor>> per_shard(shards_.size());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    SCCF_ASSIGN_OR_RETURN(per_shard[s],
-                          SearchShard(*shards_[s], query, k, exclude_user));
+  if (rows * row_bytes < kParallelFanoutBytes) {
+    for (size_t s = 0; s < shards_.size(); ++s) {
+      SCCF_ASSIGN_OR_RETURN(per_shard[s],
+                            SearchShard(*shards_[s], query, k, exclude_user));
+    }
+    return MergeTopK(std::move(per_shard), k);
   }
+  std::vector<Status> status(shards_.size());
+  ParallelFor(0, shards_.size(), [&](size_t s) {
+    StatusOr<std::vector<index::Neighbor>> hits =
+        SearchShard(*shards_[s], query, k, exclude_user);
+    if (hits.ok()) {
+      per_shard[s] = std::move(hits).value();
+    } else {
+      status[s] = hits.status();
+    }
+  });
+  for (const Status& st : status) SCCF_RETURN_NOT_OK(st);
   return MergeTopK(std::move(per_shard), k);
 }
 
@@ -425,6 +446,7 @@ Status RealTimeService::RefreshTouchedUser(Shard& shard, int user,
     }
   }
   timing->index_ms = index_clock.ElapsedMillis();
+  PublishScanRows(shard);
   shard.vote_items[user] = VoteItems(history);
   return Status::OK();
 }
@@ -443,11 +465,16 @@ Status RealTimeService::Compact() {
   return Status::OK();
 }
 
+void RealTimeService::PublishScanRows(const Shard& shard) {
+  shard.scan_rows.store(shard.index->size() + shard.pending->size());
+}
+
 Status RealTimeService::DrainShardLocked(const Shard& shard) const {
   const Status st = shard.pending->DrainTo(shard.index.get());
   // Cleared even on error: DrainTo empties the buffer regardless (a
   // failed Add there is a programming error, not recoverable input).
   shard.staged_since_ns.store(0, std::memory_order_release);
+  PublishScanRows(shard);
   return st;
 }
 
@@ -765,6 +792,7 @@ Status RealTimeService::RestoreShard(size_t s, std::string_view payload) {
   // stamp on a non-empty buffer would hide it from the sweep forever.
   shard.staged_since_ns.store(has_pending ? NowNs() : 0,
                               std::memory_order_release);
+  PublishScanRows(shard);
   shard.journal_seq = journal_seq;
   return Status::OK();
 }

@@ -35,9 +35,14 @@ class IngestSink;
 /// shards. Each shard owns its own VectorIndex, history/vote maps, and a
 /// std::shared_mutex, so concurrent OnInteraction calls for users in
 /// different shards never contend. Queries (Neighbors /
-/// RecommendUserBased) fan a per-shard top-k search out under shared
-/// (read) locks — one shard at a time, never holding two locks — and
-/// merge the per-shard lists with the k-way merger in core/topk_merge.h.
+/// RecommendUserBased) fan a per-shard top-k search out, each shard under
+/// its own shared (read) lock, and merge the per-shard lists in shard
+/// order with the k-way merger in core/topk_merge.h. Small fan-outs scan
+/// the shards one after another on the calling thread; fan-outs of at
+/// least kParallelFanoutBytes scan them concurrently (the calling thread
+/// scans at least one shard, ThreadPool::Global() workers the rest).
+/// Either way every thread holds one shard lock at a time, and the
+/// merged reply is the same.
 ///
 /// Thread-safety contract:
 ///  - Bootstrap must be called exactly once and must complete (its return
@@ -72,6 +77,21 @@ class IngestSink;
 ///    suite).
 class RealTimeService {
  public:
+  /// Fan-out size, in row bytes summed over all shards (4*dim per fp32
+  /// row, dim+8 per sq8 row), from which SearchAllShards scans the
+  /// shards concurrently. Measured on the 4-vCPU AVX-512 reference host:
+  ///  - the traced browse pass scans one 3.2 MB fp32 shard in
+  ///    165-285 us, i.e. 11-19 bytes/ns;
+  ///  - handing 3 shards to the pool costs the caller 6-8 us (p50-p90);
+  ///  - a worker that ran within the last ~100 us starts in ~4 us, one
+  ///    whose vCPU sat idle for milliseconds only after 150-200 us.
+  /// Since the caller keeps claiming shards until none are left, a late
+  /// worker costs nothing beyond the hand-off, and warm workers split
+  /// the scan S ways. At 1 MiB (55-95 us of sequential scan) the
+  /// hand-off is 7-13% of the scan, while warm workers save ~3/4 of
+  /// it; smaller, cache-resident fan-outs stay on the calling thread.
+  static constexpr size_t kParallelFanoutBytes = size_t{1} << 20;
+
   struct Options {
     size_t beta = 100;
     /// Recent items used to infer the query embedding (15 in the paper).
@@ -189,8 +209,8 @@ class RealTimeService {
   /// Loads initial user states and builds the per-shard indexes in
   /// parallel on ThreadPool::Global() (training each shard's coarse
   /// quantizer first for IVF). Must be called exactly once, from one
-  /// thread, before any concurrent use; must not be called from inside a
-  /// pool worker (it uses ParallelFor).
+  /// thread, before any concurrent use. Called from inside a pool
+  /// worker, it builds the shards one after another on that worker.
   Status Bootstrap(const std::vector<UserState>& users);
 
   /// Convenience: bootstrap from every user's training-prefix history.
@@ -386,6 +406,11 @@ class RealTimeService {
     /// sweep to decide whether taking the write lock is worth it, so it
     /// is atomic (a stale read only defers or wastes one drain attempt).
     mutable std::atomic<int64_t> staged_since_ns{0};
+    /// Rows a search scans (index rows + staged rows), for the fan-out
+    /// size check in SearchAllShards. Written under an exclusive hold of
+    /// `mu` by PublishScanRows; read lock-free, so a stale value only
+    /// picks the other (result-identical) fan-out schedule.
+    mutable std::atomic<size_t> scan_rows{0};
     std::unordered_map<int, std::vector<int>> histories;
     std::unordered_map<int, std::vector<int>> vote_items;
     /// Monotonic per-shard ingest sequence number, guarded by `mu`.
@@ -417,10 +442,18 @@ class RealTimeService {
                                                      const float* query,
                                                      size_t k,
                                                      int exclude_user) const;
-  /// Per-shard top-k fan-out (shared lock per shard, one at a time) +
-  /// k-way merge. `exclude_user` only matches in its own shard.
+  /// Per-shard top-k fan-out + k-way merge in shard order.
+  /// `exclude_user` only matches in its own shard. Sequential on the
+  /// calling thread unless the shards' rows total at least
+  /// kParallelFanoutBytes; then the shards are searched concurrently via
+  /// ParallelFor (still sequential when called from a pool worker). Each
+  /// thread holds one shard's shared lock at a time.
   StatusOr<std::vector<index::Neighbor>> SearchAllShards(
       const float* query, size_t k, int exclude_user) const;
+  /// Stores the shard's current index + staged row count in
+  /// `shard.scan_rows`. Pre: `shard.mu` is held exclusively, or the shard
+  /// is not yet published.
+  static void PublishScanRows(const Shard& shard);
   /// Drains `shard.pending` into its index and clears the age stamp.
   /// Pre: `shard.mu` is held exclusively by the caller. Const because
   /// the age policy must be able to compact from logically-const query

@@ -18,7 +18,7 @@ namespace sccf::index {
 /// local); Add requires exclusive access (it may grow/rehash data_, ids_,
 /// and slot_, invalidating a concurrent scan). See the contract in
 /// vector_index.h. With `parallel = true`, Search uses the global
-/// ThreadPool and must not be called from a pool worker.
+/// ThreadPool (inline when called from one of its workers).
 class BruteForceIndex : public VectorIndex {
  public:
   BruteForceIndex(size_t dim, Metric metric, bool parallel = false,

@@ -56,8 +56,9 @@ struct IndexMemoryStats {
 ///    `std::shared_mutex` (shared for Search, exclusive for Add), which
 ///    is the intended usage pattern.
 ///  - `BruteForceIndex` built with `parallel = true` fans `Search` out on
-///    the global `ThreadPool`; never call that from inside a pool worker
-///    (`ParallelFor` nesting is forbidden, see util/thread_pool.h).
+///    the global `ThreadPool`. Called from inside a pool worker (e.g. a
+///    shard search in `RealTimeService`'s parallel fan-out), that
+///    `ParallelFor` runs inline on the worker, see util/thread_pool.h.
 ///
 /// Buffered-upsert contract: because `Add` with an existing id replaces
 /// the stored vector, a caller may defer a burst of upserts in a side

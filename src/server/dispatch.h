@@ -36,10 +36,11 @@ namespace sccf::server {
 ///   HISTORY user
 ///     -> *k of  :item   (chronological)
 ///   STATS
-///     -> *12 alternating  $name  :value   for num_users, num_shards,
+///     -> *18 alternating  $name  :value   for num_users, num_shards,
 ///        pending_upserts, background_compaction (0/1),
 ///        save_in_progress (0/1), last_save_duration_ms (-1 until a
-///        save completes)
+///        save completes), embedding_bytes, code_bytes, tombstones
+///        (each summed over all shards)
 ///   SAVE
 ///     Writes a full snapshot to the configured data directory and
 ///     rotates the ingest journal (Engine::Save). Synchronous: +OK means

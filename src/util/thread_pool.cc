@@ -1,11 +1,20 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
 #include <exception>
+#include <memory>
 
 #include "util/logging.h"
 
 namespace sccf {
+
+namespace {
+
+/// The pool whose WorkerLoop runs on this thread, if any.
+thread_local const ThreadPool* tls_worker_of = nullptr;
+
+}  // namespace
 
 ThreadPool::ThreadPool(size_t num_threads) {
   SCCF_CHECK_GE(num_threads, 1u);
@@ -28,17 +37,14 @@ void ThreadPool::Submit(std::function<void()> task) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     tasks_.push(std::move(task));
-    ++in_flight_;
   }
   task_cv_.notify_one();
 }
 
-void ThreadPool::Wait() {
-  std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [this] { return in_flight_ == 0; });
-}
+bool ThreadPool::InWorker() const { return tls_worker_of == this; }
 
 void ThreadPool::WorkerLoop() {
+  tls_worker_of = this;
   for (;;) {
     std::function<void()> task;
     {
@@ -52,11 +58,6 @@ void ThreadPool::WorkerLoop() {
       tasks_.pop();
     }
     task();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --in_flight_;
-      if (in_flight_ == 0) done_cv_.notify_all();
-    }
   }
 }
 
@@ -78,29 +79,59 @@ void ParallelForBlocked(size_t begin, size_t end,
   if (begin >= end) return;
   ThreadPool& pool = ThreadPool::Global();
   const size_t n = end - begin;
-  const size_t num_blocks = std::min(n, pool.num_threads());
-  if (num_blocks <= 1) {
+  const size_t max_blocks = std::min(n, pool.num_threads());
+  if (max_blocks <= 1 || pool.InWorker()) {
     fn(begin, end);
     return;
   }
-  const size_t block = (n + num_blocks - 1) / num_blocks;
-  std::mutex error_mu;
-  std::exception_ptr first_error;
-  for (size_t b = 0; b < num_blocks; ++b) {
-    const size_t lo = begin + b * block;
-    const size_t hi = std::min(end, lo + block);
-    if (lo >= hi) break;
-    pool.Submit([&fn, lo, hi, &error_mu, &first_error] {
-      try {
-        fn(lo, hi);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(error_mu);
-        if (!first_error) first_error = std::current_exception();
+
+  // This call's own state. The caller and num_blocks - 1 pool tasks all
+  // claim blocks from `next` until none are left, so a worker that wakes
+  // late finds the work already done instead of delaying the caller. The
+  // caller waits on this call's completion count only, never on unrelated
+  // callers' tasks. Shared ownership lets a
+  // late task touch the state after the caller has returned (it never
+  // touches `fn` then: every block is claimed).
+  struct Call {
+    const std::function<void(size_t, size_t)>* fn = nullptr;
+    size_t begin = 0;
+    size_t end = 0;
+    size_t block = 0;
+    size_t num_blocks = 0;
+    std::atomic<size_t> next{0};
+    std::mutex mu;
+    std::condition_variable done_cv;
+    size_t done = 0;                 // guarded by mu
+    std::exception_ptr first_error;  // guarded by mu
+
+    void ClaimBlocks() {
+      for (size_t b = next++; b < num_blocks; b = next++) {
+        const size_t lo = begin + b * block;
+        std::exception_ptr error;
+        try {
+          (*fn)(lo, std::min(end, lo + block));
+        } catch (...) {
+          error = std::current_exception();
+        }
+        std::lock_guard<std::mutex> lock(mu);
+        if (error && !first_error) first_error = error;
+        if (++done == num_blocks) done_cv.notify_one();
       }
-    });
+    }
+  };
+  auto call = std::make_shared<Call>();
+  call->fn = &fn;
+  call->begin = begin;
+  call->end = end;
+  call->block = (n + max_blocks - 1) / max_blocks;
+  call->num_blocks = (n + call->block - 1) / call->block;
+  for (size_t t = 1; t < call->num_blocks; ++t) {
+    pool.Submit([call] { call->ClaimBlocks(); });
   }
-  pool.Wait();
-  if (first_error) std::rethrow_exception(first_error);
+  call->ClaimBlocks();
+  std::unique_lock<std::mutex> lock(call->mu);
+  call->done_cv.wait(lock, [&] { return call->done == call->num_blocks; });
+  if (call->first_error) std::rethrow_exception(call->first_error);
 }
 
 }  // namespace sccf

@@ -19,6 +19,7 @@
 #include "data/synthetic.h"
 #include "models/fism.h"
 #include "online/engine.h"
+#include "util/random.h"
 
 namespace sccf::core {
 namespace {
@@ -479,6 +480,96 @@ TEST_F(RealTimeShardStressTest, HnswTombstonesBoundedUnderConcurrentChurn) {
               for (const auto& s : engine.ShardStats()) t += s.tombstones;
               return t;
             }());
+}
+
+// Above kParallelFanoutBytes every identify and query fan-out searches
+// its shards on pool workers, so workers take shard read locks while
+// writer threads hold other shards' write locks (and drain their write
+// buffers). Readers race the writers throughout; the concurrent run must
+// still end in the serial replay's state.
+TEST_F(RealTimeShardStressTest, ParallelFanoutUnderConcurrentIngest) {
+  const size_t row_bytes = sizeof(float) * fism_->embedding_dim();
+  const size_t num_users =
+      RealTimeService::kParallelFanoutBytes / row_bytes * 5 / 4;
+  Rng rng(53);
+  std::vector<RealTimeService::UserState> users(num_users);
+  for (size_t u = 0; u < num_users; ++u) {
+    users[u].user = static_cast<int>(u);
+    for (int i = 0; i < 8; ++i) {
+      users[u].history.push_back(
+          static_cast<int>(rng.Uniform(dataset_->num_items())));
+    }
+  }
+  RealTimeService::Options opts = ShardedOptions(IndexKind::kBruteForce);
+  opts.compaction_threshold = 4;
+  RealTimeService concurrent(*fism_, opts);
+  ASSERT_TRUE(concurrent.Bootstrap(users).ok());
+
+  // Writer w owns users {w, w + kWriters, ...} below 64 plus one cold
+  // user, so each user's sequence is fixed whatever the interleaving.
+  constexpr int kWriters = 2;
+  constexpr int kReaders = 2;
+  const int num_items = static_cast<int>(dataset_->num_items());
+  std::vector<std::vector<std::pair<int, int>>> plans(kWriters);
+  for (int w = 0; w < kWriters; ++w) {
+    for (int step = 0; step < 4; ++step) {
+      for (int u = w; u < 64; u += kWriters) {
+        plans[w].push_back({u, (u * 7 + step * 13) % num_items});
+      }
+      plans[w].push_back({3'000'000 + w, step});
+    }
+  }
+
+  std::atomic<int> failures{0};
+  std::atomic<int> writers_left{kWriters};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      for (const auto& [user, item] : plans[w]) {
+        if (!concurrent.OnInteraction(user, item).ok()) failures.fetch_add(1);
+      }
+      writers_left.fetch_sub(1);
+    });
+  }
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&, r] {
+      for (int user = r; writers_left.load() > 0; user = (user + 7) % 64) {
+        auto nbrs = concurrent.Neighbors(user);
+        if (!nbrs.ok() || nbrs->empty()) failures.fetch_add(1);
+        if (!concurrent.RecommendUserBased(user, 10).ok()) {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  ASSERT_EQ(failures.load(), 0);
+
+  RealTimeService serial(*fism_, opts);
+  ASSERT_TRUE(serial.Bootstrap(users).ok());
+  for (const auto& plan : plans) {
+    for (const auto& [user, item] : plan) {
+      ASSERT_TRUE(serial.OnInteraction(user, item).ok());
+    }
+  }
+  ASSERT_TRUE(concurrent.Compact().ok());
+  ASSERT_TRUE(serial.Compact().ok());
+
+  std::vector<int> check;
+  for (int u = 0; u < 64; ++u) check.push_back(u);
+  for (int w = 0; w < kWriters; ++w) check.push_back(3'000'000 + w);
+  for (int user : check) {
+    auto n_conc = concurrent.Neighbors(user);
+    auto n_ser = serial.Neighbors(user);
+    ASSERT_TRUE(n_conc.ok()) << "user " << user;
+    ASSERT_TRUE(n_ser.ok()) << "user " << user;
+    ASSERT_EQ(n_conc->size(), n_ser->size()) << "user " << user;
+    for (size_t i = 0; i < n_conc->size(); ++i) {
+      EXPECT_EQ((*n_conc)[i].id, (*n_ser)[i].id)
+          << "user " << user << " rank " << i;
+      EXPECT_FLOAT_EQ((*n_conc)[i].score, (*n_ser)[i].score);
+    }
+  }
 }
 
 // ANN backends cannot promise serial-replay equivalence (graph/bucket

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 
 #include "core/realtime.h"
 #include "data/split.h"
 #include "data/synthetic.h"
 #include "models/fism.h"
+#include "quant/sq8.h"
+#include "util/random.h"
 
 namespace sccf::core {
 namespace {
@@ -205,6 +209,105 @@ TEST_F(RealTimeTest, ShardedMatchesSingleShardExactly) {
     ASSERT_TRUE(sharded.OnInteraction(user, item).ok());
   }
   for (int user : {0, 1, 5, 70, 3000}) expect_equal_views(user);
+}
+
+// Users 0..n-1 with seeded histories of 5..15 items: a corpus large
+// enough for the parallel fan-out without fitting a model on it.
+std::vector<RealTimeService::UserState> SyntheticUsers(size_t n,
+                                                       size_t num_items,
+                                                       uint64_t seed) {
+  Rng rng(seed);
+  std::vector<RealTimeService::UserState> users(n);
+  for (size_t u = 0; u < n; ++u) {
+    users[u].user = static_cast<int>(u);
+    const int64_t len = rng.UniformInt(5, 15);
+    for (int64_t i = 0; i < len; ++i) {
+      users[u].history.push_back(static_cast<int>(rng.Uniform(num_items)));
+    }
+  }
+  return users;
+}
+
+// Pins the parallel fan-out: with more than kParallelFanoutBytes of rows,
+// a 4-shard service searches its shards on pool workers, and must still
+// return the single-shard service's ids and float bits, for both
+// storages. compaction_threshold exceeds the streamed users, so their
+// rows stay staged and the workers merge the write buffers; a final
+// Compact then moves them into the indexes.
+TEST_F(RealTimeTest, ParallelFanoutMatchesSingleShardExactly) {
+  const size_t d = fism_->embedding_dim();
+  for (quant::Storage storage :
+       {quant::Storage::kFp32, quant::Storage::kSq8}) {
+    SCOPED_TRACE(quant::StorageName(storage));
+    const size_t row_bytes =
+        storage == quant::Storage::kSq8 ? d + 8 : sizeof(float) * d;
+    const auto users = SyntheticUsers(
+        RealTimeService::kParallelFanoutBytes / row_bytes * 5 / 4,
+        fism_->num_items(), 17);
+
+    RealTimeService::Options single_opts;
+    single_opts.beta = 10;
+    single_opts.num_shards = 1;
+    single_opts.storage = storage;
+    single_opts.compaction_threshold = 64;
+    RealTimeService::Options sharded_opts = single_opts;
+    sharded_opts.num_shards = 4;
+    RealTimeService single(*fism_, single_opts);
+    RealTimeService sharded(*fism_, sharded_opts);
+    ASSERT_TRUE(single.Bootstrap(users).ok());
+    ASSERT_TRUE(sharded.Bootstrap(users).ok());
+
+    // The fan-out size SearchAllShards checks: index plus staged rows.
+    size_t rows = 0;
+    for (const auto& st : sharded.ShardStatsSnapshot()) {
+      rows += st.index_rows + st.staged_rows;
+    }
+    ASSERT_GE(rows * row_bytes, RealTimeService::kParallelFanoutBytes);
+
+    const auto bits = [](float f) { return std::bit_cast<uint32_t>(f); };
+    const auto expect_identical_views = [&](int user) {
+      auto n1 = single.Neighbors(user);
+      auto n4 = sharded.Neighbors(user);
+      ASSERT_TRUE(n1.ok());
+      ASSERT_TRUE(n4.ok());
+      ASSERT_EQ(n1->size(), n4->size()) << "user " << user;
+      for (size_t i = 0; i < n1->size(); ++i) {
+        EXPECT_EQ((*n1)[i].id, (*n4)[i].id) << "user " << user << " rank " << i;
+        EXPECT_EQ(bits((*n1)[i].score), bits((*n4)[i].score))
+            << "user " << user << " rank " << i;
+      }
+      auto r1 = single.RecommendUserBased(user, 20);
+      auto r4 = sharded.RecommendUserBased(user, 20);
+      ASSERT_TRUE(r1.ok());
+      ASSERT_TRUE(r4.ok());
+      ASSERT_EQ(r1->size(), r4->size()) << "user " << user;
+      for (size_t i = 0; i < r1->size(); ++i) {
+        EXPECT_EQ((*r1)[i].id, (*r4)[i].id) << "user " << user << " rank " << i;
+        EXPECT_EQ(bits((*r1)[i].score), bits((*r4)[i].score))
+            << "user " << user << " rank " << i;
+      }
+    };
+
+    for (int user = 0; user < 20; ++user) expect_identical_views(user);
+
+    // 40 streamed users, 8 of them cold starts, all staged in both.
+    std::vector<int> streamed;
+    for (int i = 0; i < 40; ++i) {
+      const int user = i < 32 ? i * 97 : 1'000'000 + i;
+      streamed.push_back(user);
+      const int item = (i * 13) % static_cast<int>(fism_->num_items());
+      ASSERT_TRUE(single.OnInteraction(user, item).ok());
+      ASSERT_TRUE(sharded.OnInteraction(user, item).ok());
+    }
+    ASSERT_EQ(single.pending_upserts(), streamed.size());
+    ASSERT_EQ(sharded.pending_upserts(), streamed.size());
+    for (int user : streamed) expect_identical_views(user);
+
+    ASSERT_TRUE(single.Compact().ok());
+    ASSERT_TRUE(sharded.Compact().ok());
+    ASSERT_EQ(sharded.pending_upserts(), 0u);
+    for (int user : streamed) expect_identical_views(user);
+  }
 }
 
 TEST_F(RealTimeTest, UnknownUserNeighborsIsNotFound) {

@@ -28,10 +28,12 @@ namespace sccf::testing {
 /// scenarios are ordinary C++ with no argv marshalling. The flip side:
 /// only the forking thread survives into the child, so the closure must
 /// not rely on any other thread — in particular it must not touch the
-/// global ThreadPool (Engine::Bootstrap does, via ParallelFor; the
-/// ingest path does not). Crash tests therefore bootstrap their engine
-/// in the parent, with background compaction off, and fork a child that
-/// only ingests and dies. A child that returns from `fn` leaves via
+/// global ThreadPool. Engine::Bootstrap does, via ParallelFor, and so
+/// does every identify or query fan-out over rows totalling at least
+/// RealTimeService::kParallelFanoutBytes. Crash tests therefore
+/// bootstrap their engine in the parent, with background compaction
+/// off, and fork a child that only ingests into a corpus below that
+/// size and dies. A child that returns from `fn` leaves via
 /// _Exit(0) — no atexit handlers, no gtest teardown, no double-flushed
 /// stdio.
 inline int RunInChild(const std::function<void()>& fn) {

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <future>
+#include <latch>
+#include <mutex>
 #include <set>
 #include <stdexcept>
+#include <thread>
 
 #include "util/random.h"
 #include "util/status.h"
@@ -239,19 +244,15 @@ TEST(StringUtilTest, ParseDouble) {
 
 // ------------------------------------------------------------ ThreadPool
 
-TEST(ThreadPoolTest, RunsAllTasks) {
-  ThreadPool pool(3);
+TEST(ThreadPoolTest, RunsAllTasksBeforeDestruction) {
   std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
+  {
+    ThreadPool pool(3);
+    for (int i = 0; i < 100; ++i) {
+      pool.Submit([&counter] { counter.fetch_add(1); });
+    }
   }
-  pool.Wait();
   EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPoolTest, WaitWithNoTasksReturns) {
-  ThreadPool pool(2);
-  pool.Wait();  // must not hang
 }
 
 TEST(ParallelForTest, CoversRangeExactlyOnce) {
@@ -264,20 +265,21 @@ TEST(ParallelForTest, EmptyRangeIsNoop) {
   ParallelFor(5, 5, [](size_t) { FAIL() << "must not be called"; });
 }
 
-TEST(ThreadPoolTest, NestedSubmitFromWorkerCompletesBeforeWait) {
-  ThreadPool pool(2);
+TEST(ThreadPoolTest, NestedSubmitFromWorkerRunsBeforeDestruction) {
   std::atomic<int> outer{0};
   std::atomic<int> inner{0};
-  for (int i = 0; i < 8; ++i) {
-    pool.Submit([&pool, &outer, &inner] {
-      // Submitting from inside a running task must enqueue (not deadlock),
-      // and Wait() must cover the nested task too: in_flight_ is bumped
-      // before the outer task finishes.
-      pool.Submit([&inner] { inner.fetch_add(1); });
-      outer.fetch_add(1);
-    });
+  {
+    ThreadPool pool(2);
+    for (int i = 0; i < 8; ++i) {
+      pool.Submit([&pool, &outer, &inner] {
+        // Submitting from inside a running task must enqueue (not
+        // deadlock), and the destructor must run the nested task too: it
+        // is queued before the outer task finishes.
+        pool.Submit([&inner] { inner.fetch_add(1); });
+        outer.fetch_add(1);
+      });
+    }
   }
-  pool.Wait();
   EXPECT_EQ(outer.load(), 8);
   EXPECT_EQ(inner.load(), 8);
 }
@@ -325,6 +327,74 @@ TEST(ParallelForBlockedTest, EmptyRangeIsNoop) {
                      [](size_t, size_t) { FAIL() << "must not be called"; });
   ParallelForBlocked(9, 3,
                      [](size_t, size_t) { FAIL() << "must not be called"; });
+}
+
+// A ParallelFor issued from inside a pool worker runs inline on that
+// worker. A worker that waited for sub-tasks queued behind itself could
+// deadlock the pool (the ctest timeout catches a regression).
+TEST(ParallelForTest, NestedCallFromWorkerCompletes) {
+  std::atomic<int> inner{0};
+  std::atomic<int> moved_off_worker{0};
+  ParallelFor(0, 8, [&](size_t) {
+    const bool in_worker = ThreadPool::Global().InWorker();
+    const std::thread::id outer = std::this_thread::get_id();
+    ParallelFor(0, 100, [&](size_t) {
+      inner.fetch_add(1);
+      if (in_worker && std::this_thread::get_id() != outer) {
+        moved_off_worker.fetch_add(1);
+      }
+    });
+  });
+  EXPECT_EQ(inner.load(), 800);
+  EXPECT_EQ(moved_off_worker.load(), 0);
+}
+
+// Each ParallelFor waits for its own blocks only. Thread A's call keeps
+// a pool worker blocked on a latch that only thread B's return releases;
+// if B waited for the whole pool (A's task included), neither would
+// finish. A watchdog releases the latch after a deadline so a
+// regression fails instead of hanging.
+TEST(ParallelForTest, ConcurrentCallersDoNotWaitForEachOther) {
+  if (ThreadPool::Global().num_threads() < 2) {
+    GTEST_SKIP() << "a one-thread pool runs every call inline";
+  }
+  std::latch b_returned(1);
+  std::once_flag release_once;
+  const auto release = [&] {
+    std::call_once(release_once, [&] { b_returned.count_down(); });
+  };
+  std::atomic<bool> a_blocked{false};
+
+  // Two blocks: the first worker to claim one blocks in it; A's own
+  // thread holds its block until that has happened, so it cannot claim
+  // both blocks itself.
+  std::thread a([&] {
+    ParallelFor(0, 2, [&](size_t) {
+      if (ThreadPool::Global().InWorker()) {
+        if (!a_blocked.exchange(true)) b_returned.wait();
+      } else {
+        while (!a_blocked.load()) std::this_thread::yield();
+      }
+    });
+  });
+  while (!a_blocked.load()) std::this_thread::yield();
+
+  std::promise<int> b_done;
+  std::future<int> b_result = b_done.get_future();
+  std::thread b([&] {
+    std::atomic<int> count{0};
+    ParallelFor(0, 64, [&](size_t) { count.fetch_add(1); });
+    release();
+    b_done.set_value(count.load());
+  });
+  const bool b_finished_first =
+      b_result.wait_for(std::chrono::seconds(30)) == std::future_status::ready;
+  release();
+  b.join();
+  a.join();
+  EXPECT_TRUE(b_finished_first)
+      << "B's ParallelFor waited for A's still-blocked task";
+  EXPECT_EQ(b_result.get(), 64);
 }
 
 TEST(ParallelForBlockedTest, BlocksPartitionRange) {
