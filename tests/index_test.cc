@@ -2,13 +2,18 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <set>
+#include <string>
 
 #include "index/brute_force_index.h"
 #include "index/hnsw_index.h"
 #include "index/ivf_flat_index.h"
 #include "index/vector_index.h"
+#include "simd/kernels.h"
 #include "tensor/tensor.h"
+#include "util/coding.h"
+#include "util/logging.h"
 #include "util/random.h"
 
 namespace sccf::index {
@@ -763,6 +768,232 @@ TEST(Sq8IndexTest, UpsertBufferSq8StagedScoresMatchDrainedIndex) {
   for (size_t i = 0; i < staged.size(); ++i) {
     EXPECT_EQ(staged[i].id, (*drained)[i].id) << "rank " << i;
     EXPECT_NEAR(staged[i].score, (*drained)[i].score, 1e-5) << "rank " << i;
+  }
+}
+
+
+// ------------------------------------------------------- format freeze
+
+// Pins the serialized blob bytes and the search-result bits of every
+// backend x storage on a fixed seeded corpus with churn (updates,
+// removes, HNSW tombstones and a rebuild, IVF reassignments) to committed
+// constants. The round-trip pins only prove deserialize -> serialize is
+// stable; these catch any change to the blob layout or to the scores a
+// refactor of the row handling produces. Kernels are forced to the scalar
+// variant so the constants do not depend on the host's SIMD support.
+
+enum class Backend { kBruteForce, kIvf, kHnsw };
+
+struct FreezeCase {
+  const char* name;
+  Backend backend;
+  Metric metric;
+  quant::Storage storage;
+  uint32_t blob_crc;
+  uint32_t search_crc;
+};
+
+class ScalarKernels {
+ public:
+  ScalarKernels() : before_(simd::ActiveVariant()) {
+    SCCF_CHECK(simd::ForceVariant(simd::Variant::kScalar).ok());
+  }
+  ~ScalarKernels() { SCCF_CHECK(simd::ForceVariant(before_).ok()); }
+
+ private:
+  simd::Variant before_;
+};
+
+std::unique_ptr<VectorIndex> MakeFreezeIndex(Backend backend, Metric metric,
+                                             quant::Storage storage,
+                                             size_t d) {
+  switch (backend) {
+    case Backend::kBruteForce:
+      return std::make_unique<BruteForceIndex>(d, metric, false, storage);
+    case Backend::kIvf: {
+      IvfFlatIndex::Options opts;
+      opts.nlist = 8;
+      opts.nprobe = 3;
+      return std::make_unique<IvfFlatIndex>(d, metric, opts, storage);
+    }
+    case Backend::kHnsw: {
+      HnswIndex::Options opts;
+      opts.m = 6;
+      opts.ef_construction = 32;
+      opts.ef_search = 24;
+      return std::make_unique<HnswIndex>(d, metric, opts, storage);
+    }
+  }
+  return nullptr;
+}
+
+// Appends (count, then id + score bits per hit) for a fixed query set.
+void AppendSearchBits(const VectorIndex& idx, size_t d, std::string* bits) {
+  Rng rng(2718);
+  std::vector<float> q(d);
+  for (int i = 0; i < 6; ++i) {
+    for (auto& v : q) v = rng.Normal();
+    auto hits = idx.Search(q.data(), 10, i % 2 == 0 ? 5 * i : -1);
+    ASSERT_TRUE(hits.ok());
+    PutFixed64(bits, hits->size());
+    for (const Neighbor& nb : *hits) {
+      PutI32(bits, nb.id);
+      PutF32(bits, nb.score);
+    }
+  }
+}
+
+// The churn scenario shared by the pin and the truncation sweep: n adds
+// (ids == slots), n/4 updates, a search checkpoint, n/10 removes and n/10
+// more upserts (some re-inserting removed ids), then a final checkpoint.
+void RunFreezeScenario(VectorIndex* idx, size_t n, size_t d,
+                       std::string* bits) {
+  Rng rng(1414);
+  const std::vector<float> corpus = RandomCorpus(n, d, rng);
+  if (auto* ivf = dynamic_cast<IvfFlatIndex*>(idx)) {
+    ASSERT_TRUE(ivf->Train(corpus, n).ok());
+  }
+  for (size_t i = 0; i < n; ++i) {
+    ASSERT_TRUE(idx->Add(static_cast<int>(i), corpus.data() + i * d).ok());
+  }
+  std::vector<float> row(d);
+  for (size_t i = 0; i < n / 4; ++i) {
+    for (auto& v : row) v = rng.Normal();
+    ASSERT_TRUE(idx->Add(static_cast<int>((7 * i) % n), row.data()).ok());
+  }
+  AppendSearchBits(*idx, d, bits);
+  for (size_t i = 0; i < n / 10; ++i) {
+    ASSERT_TRUE(idx->Remove(static_cast<int>((11 * i + 5) % n)).ok());
+  }
+  for (size_t i = 0; i < n / 10; ++i) {
+    for (auto& v : row) v = rng.Normal();
+    ASSERT_TRUE(idx->Add(static_cast<int>((13 * i + 2) % n), row.data()).ok());
+  }
+  AppendSearchBits(*idx, d, bits);
+}
+
+const FreezeCase kFreezeCases[] = {
+    {"bf_fp32_cos", Backend::kBruteForce, Metric::kCosine,
+     quant::Storage::kFp32, 0x195df01fu, 0xbab02827u},
+    {"bf_fp32_ip", Backend::kBruteForce, Metric::kInnerProduct,
+     quant::Storage::kFp32, 0x94e1ff26u, 0xa625e9afu},
+    {"bf_sq8_cos", Backend::kBruteForce, Metric::kCosine,
+     quant::Storage::kSq8, 0xf6829b6du, 0xce4491f3u},
+    {"bf_sq8_ip", Backend::kBruteForce, Metric::kInnerProduct,
+     quant::Storage::kSq8, 0x366352a4u, 0xa3c7e795u},
+    {"ivf_fp32_cos", Backend::kIvf, Metric::kCosine, quant::Storage::kFp32,
+     0xb48bd942u, 0xb42d359cu},
+    {"ivf_sq8_cos", Backend::kIvf, Metric::kCosine, quant::Storage::kSq8,
+     0xa4de2c14u, 0x1f5edf90u},
+    {"hnsw_fp32_cos", Backend::kHnsw, Metric::kCosine, quant::Storage::kFp32,
+     0x228e95e0u, 0xbab02827u},
+    {"hnsw_sq8_cos", Backend::kHnsw, Metric::kCosine, quant::Storage::kSq8,
+     0xbc8ee888u, 0xce4491f3u},
+};
+
+TEST(IndexFormatFreezeTest, BlobCrcAndSearchBitsMatchPinnedConstants) {
+  ScalarKernels scalar;
+  const size_t n = 150, d = 20;
+  for (const FreezeCase& c : kFreezeCases) {
+    SCOPED_TRACE(c.name);
+    std::unique_ptr<VectorIndex> idx =
+        MakeFreezeIndex(c.backend, c.metric, c.storage, d);
+    std::string bits;
+    RunFreezeScenario(idx.get(), n, d, &bits);
+    if (c.backend == Backend::kHnsw) {
+      // One rebuild ran: every Add makes a node, and fewer are resident.
+      auto* hnsw = static_cast<HnswIndex*>(idx.get());
+      EXPECT_LT(hnsw->num_graph_nodes(), n + n / 4 + n / 10);
+      EXPECT_GT(hnsw->memory_stats().tombstones, 0u);
+    }
+    std::string blob;
+    idx->SerializeTo(&blob);
+    const uint32_t blob_crc = Crc32(blob);
+    const uint32_t search_crc = Crc32(bits);
+    EXPECT_EQ(blob_crc, c.blob_crc)
+        << std::hex << "blob crc 0x" << blob_crc << " size " << std::dec
+        << blob.size();
+    EXPECT_EQ(search_crc, c.search_crc)
+        << std::hex << "search crc 0x" << search_crc;
+  }
+}
+
+// Staged (not yet drained) scores are part of every fresh reply, so their
+// bits are pinned too, on all four metric x storage combinations.
+TEST(IndexFormatFreezeTest, UpsertBufferStagedScoreBitsMatchPinnedConstants) {
+  ScalarKernels scalar;
+  const size_t n = 40, d = 20;
+  struct Case {
+    Metric metric;
+    quant::Storage storage;
+    uint32_t crc;
+  };
+  const Case cases[] = {
+      {Metric::kCosine, quant::Storage::kFp32, 0x8d927d9du},
+      {Metric::kInnerProduct, quant::Storage::kFp32, 0xe9342387u},
+      {Metric::kCosine, quant::Storage::kSq8, 0xa255ab31u},
+      {Metric::kInnerProduct, quant::Storage::kSq8, 0xd878ffe7u},
+  };
+  for (const Case& c : cases) {
+    Rng rng(1732);
+    UpsertBuffer buf(d, c.metric, c.storage);
+    std::vector<float> corpus = RandomCorpus(n, d, rng);
+    std::fill(corpus.begin(), corpus.begin() + d, 0.0f);  // zero row
+    for (size_t i = 0; i < n; ++i) {
+      buf.Put(static_cast<int>(3 * i), corpus.data() + i * d);
+    }
+    for (size_t i = 0; i < n; i += 4) {  // re-stage in place
+      buf.Put(static_cast<int>(3 * i), corpus.data() + ((i + 1) % n) * d);
+    }
+    std::string bits;
+    std::vector<float> q(d);
+    for (int i = 0; i < 6; ++i) {
+      for (auto& v : q) v = rng.Normal();
+      TopKAccumulator acc(10);
+      buf.OfferTo(q.data(), i % 2 == 0 ? 3 * i : -1, &acc);
+      for (const Neighbor& nb : acc.Take()) {
+        PutI32(&bits, nb.id);
+        PutF32(&bits, nb.score);
+      }
+    }
+    const uint32_t crc = Crc32(bits);
+    EXPECT_EQ(crc, c.crc) << std::hex << "metric "
+                          << static_cast<int>(c.metric) << " storage "
+                          << static_cast<int>(c.storage) << " crc 0x" << crc;
+  }
+}
+
+// Every strict prefix of every backend x storage blob (a small build of
+// the same churn scenario) is a clean error that leaves a populated
+// target byte-for-byte unchanged.
+TEST(IndexFormatFreezeTest, TruncationSweepRejectsEveryPrefix) {
+  const size_t n = 20, d = 4;
+  for (const FreezeCase& c : kFreezeCases) {
+    SCOPED_TRACE(c.name);
+    std::unique_ptr<VectorIndex> src =
+        MakeFreezeIndex(c.backend, c.metric, c.storage, d);
+    std::string bits;
+    RunFreezeScenario(src.get(), n, d, &bits);
+    std::string blob;
+    src->SerializeTo(&blob);
+
+    std::unique_ptr<VectorIndex> target =
+        MakeFreezeIndex(c.backend, c.metric, c.storage, d);
+    RunFreezeScenario(target.get(), n / 2, d, &bits);
+    std::string before;
+    target->SerializeTo(&before);
+    for (size_t cut = 0; cut < blob.size(); ++cut) {
+      ASSERT_FALSE(
+          target->DeserializeFrom(std::string_view(blob.data(), cut)).ok())
+          << "cut=" << cut;
+    }
+    std::string after;
+    target->SerializeTo(&after);
+    EXPECT_EQ(before, after);
+    ASSERT_TRUE(target->DeserializeFrom(blob).ok());
+    std::string restored;
+    target->SerializeTo(&restored);
+    EXPECT_EQ(restored, blob);
   }
 }
 
