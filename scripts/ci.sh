@@ -620,13 +620,14 @@ fi
 # Recovery suites under AddressSanitizer: the fault-injection tests feed
 # corrupted bytes through every decoder, which is exactly where an
 # out-of-bounds read would hide. `-L crash` is the fork/SIGKILL suite;
-# persist_test (plain tier1) carries the decoder fault matrices, so it
-# runs explicitly alongside. Skip gracefully where the toolchain has no
-# -fsanitize=address.
+# persist_test (plain tier1) carries the decoder fault matrices and
+# index_test the index-blob truncation sweep and hostile-structure blobs,
+# so both run explicitly alongside. Skip gracefully where the toolchain
+# has no -fsanitize=address.
 if echo 'int main(){}' | "${CXX:-c++}" -fsanitize=address -x c++ - \
      -o /dev/null 2>/dev/null; then
   cmake --preset asan >/dev/null
-  ASAN_TARGETS=(persist_test recovery_test)
+  ASAN_TARGETS=(persist_test index_test recovery_test)
   # The syscall fault-injection server suite (EINTR storms, short
   # writes, EMFILE, ENOSPC through the reactor) is crash-labeled so the
   # ctest below picks it up, but it is Linux-only — build it where the
@@ -636,6 +637,7 @@ if echo 'int main(){}' | "${CXX:-c++}" -fsanitize=address -x c++ - \
   fi
   cmake --build --preset asan -j "${JOBS}" --target "${ASAN_TARGETS[@]}"
   ./build/asan/tests/persist_test >/dev/null
+  ./build/asan/tests/index_test >/dev/null
   ctest --preset asan -L crash
   echo "asan recovery gate: OK"
 else

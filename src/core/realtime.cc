@@ -235,8 +235,7 @@ StatusOr<std::vector<index::Neighbor>> RealTimeService::SearchAllShards(
     return SearchShard(*shards_[0], query, k, exclude_user);
   }
   const size_t d = model_->embedding_dim();
-  const size_t row_bytes =
-      options_.storage == quant::Storage::kSq8 ? d + 8 : sizeof(float) * d;
+  const size_t row_bytes = index::RowStore::RowBytes(options_.storage, d);
   size_t rows = 0;
   for (const auto& shard : shards_) rows += shard->scan_rows.load();
 

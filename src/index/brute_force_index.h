@@ -30,30 +30,23 @@ class BruteForceIndex : public VectorIndex {
                                          int exclude_id = -1) const override;
 
   size_t size() const override { return ids_.size(); }
-  size_t dim() const override { return dim_; }
-  Metric metric() const override { return metric_; }
-  quant::Storage storage() const override { return storage_; }
+  size_t dim() const override { return rows_.dim(); }
+  Metric metric() const override { return rows_.metric(); }
+  quant::Storage storage() const override { return rows_.storage(); }
   IndexMemoryStats memory_stats() const override;
 
   void SerializeTo(std::string* out) const override;
   Status DeserializeFrom(std::string_view in) override;
 
  private:
-  /// Scores rows [lo, hi) against q via the batched dot kernel (fp32 or
-  /// int8 affine, per storage mode) and offers them to the accumulator in
-  /// slot order, skipping exclude_id. `qsum` is sum(q), used only in sq8
-  /// mode.
-  void ScanRange(const float* q, float qsum, size_t lo, size_t hi,
-                 int exclude_id, TopKAccumulator* acc) const;
+  /// Scores rows [lo, hi) against q via the batched kernel and offers
+  /// them to the accumulator in slot order, skipping exclude_id.
+  void ScanRange(const RowQuery& q, size_t lo, size_t hi, int exclude_id,
+                 TopKAccumulator* acc) const;
 
-  size_t dim_ = 0;
-  Metric metric_;
   bool parallel_ = false;
-  quant::Storage storage_ = quant::Storage::kFp32;
   bool ids_are_slots_ = true;            // every id equals its slot so far
-  std::vector<float> data_;              // fp32: slot-major, normalised if
-                                         // cosine; unused in sq8 mode
-  quant::Sq8Store codes_;                // sq8: slot-major codes + params
+  RowStore rows_;                        // slot-major, normalised if cosine
   std::vector<int> ids_;                 // slot -> external id
   std::unordered_map<int, size_t> slot_;  // external id -> slot
 };

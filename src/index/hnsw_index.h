@@ -21,16 +21,17 @@ namespace sccf::index {
 /// node; Remove() tombstones outright. Tombstones are *bounded*: once
 /// dead nodes exceed Options::max_tombstone_ratio of the graph (and the
 /// graph is past a small floor), the whole graph is rebuilt from the live
-/// nodes — levels redrawn from the member Rng, stored rows moved, not
-/// re-encoded — so memory and scan cost cannot grow without bound under
+/// nodes — levels redrawn from the member Rng, stored rows copied verbatim,
+/// not re-encoded — so memory and scan cost cannot grow without bound under
 /// churn. The rebuild is deterministic given the Rng state, which is
 /// serialized, so recovered-vs-twin bit-exactness survives rebuilds.
 ///
-/// Storage: fp32 rows, or SQ8 codes (+ per-node scale/offset) when
-/// constructed with quant::Storage::kSq8. In sq8 mode every similarity —
-/// construction beams included — is computed against the decoded row via
-/// the affine int8 dot, and inserts search with the *decoded* new row so
-/// construction space equals query space.
+/// Storage: one RowStore indexed by internal node id, fp32 rows or SQ8
+/// codes (+ per-node scale/offset) when constructed with
+/// quant::Storage::kSq8. In sq8 mode every similarity — construction
+/// beams included — is computed against the decoded row via the affine
+/// int8 dot, and inserts and prunes search with the *decoded* row
+/// (RowStore::RowAsQuery) so construction space equals query space.
 ///
 /// Thread-safety: concurrent Search calls are safe (the visited set and
 /// both beam heaps are locals); Add, Remove, and set_ef_search require
@@ -60,9 +61,9 @@ class HnswIndex : public VectorIndex {
                                          int exclude_id = -1) const override;
 
   size_t size() const override { return live_.size(); }
-  size_t dim() const override { return dim_; }
-  Metric metric() const override { return metric_; }
-  quant::Storage storage() const override { return storage_; }
+  size_t dim() const override { return rows_.dim(); }
+  Metric metric() const override { return rows_.metric(); }
+  quant::Storage storage() const override { return rows_.storage(); }
   IndexMemoryStats memory_stats() const override;
 
   void set_ef_search(size_t ef) { options_.ef_search = ef; }
@@ -78,43 +79,30 @@ class HnswIndex : public VectorIndex {
     int external_id = -1;
     bool deleted = false;
     int level = 0;
-    std::vector<float> vec;                    // fp32: normalised if cosine
-    std::vector<int8_t> codes;                 // sq8: dim codes
-    quant::Sq8Params qp;                       // sq8: per-row affine params
     std::vector<std::vector<int>> neighbors;   // per level
   };
 
-  /// Similarity of an fp32 query against node `n`'s stored row. `qsum`
-  /// (sum of q) is only read in sq8 mode, where the score is the affine
-  /// int8 dot against the node's codes.
-  float NodeSim(const float* q, float qsum, int n) const;
-  /// Node n's row as fp32 into `out` (decode in sq8 mode) plus its
-  /// element sum; used when a stored node becomes the query side
-  /// (pruning, rebuilds).
-  float DecodeNode(int n, std::vector<float>* out) const;
   int RandomLevel();
   /// Greedy single-entry descent at `level`, maximising similarity.
-  int GreedyClosest(const float* q, float qsum, int entry, int level) const;
+  int GreedyClosest(const RowQuery& q, int entry, int level) const;
   /// Beam search at `level`; returns up to `ef` candidates sorted by
   /// descending similarity.
-  std::vector<Neighbor> SearchLayer(const float* q, float qsum, int entry,
-                                    size_t ef, int level) const;
+  std::vector<Neighbor> SearchLayer(const RowQuery& q, int entry, size_t ef,
+                                    int level) const;
   /// Keeps the `max_m` most similar neighbors of node `n` at `level`.
   void PruneNeighbors(int n, int level, size_t max_m);
   /// Draws a level for `node`, appends it to the graph, registers it
-  /// live, and wires its beam-searched edges. The representation (vec or
-  /// codes) must already be populated.
+  /// live, and wires its beam-searched edges. Its row must already be
+  /// stored at rows_ slot nodes_.size().
   void InsertNode(GraphNode&& node);
   /// Rebuilds the graph from live nodes (internal-id order) when the
   /// tombstone ratio bound is exceeded.
   void MaybeRebuild();
 
-  size_t dim_ = 0;
-  Metric metric_;
   Options options_;
-  quant::Storage storage_ = quant::Storage::kFp32;
   Rng rng_;
   std::vector<GraphNode> nodes_;
+  RowStore rows_;                      // internal node id -> row
   std::unordered_map<int, int> live_;  // external id -> internal node
   int entry_point_ = -1;
   int max_level_ = -1;

@@ -77,7 +77,7 @@ Status IvfFlatIndex::Train(const std::vector<float>& vectors, size_t n) {
     if (!changed && iter > 0) break;
   }
 
-  lists_.assign(nlist, {});
+  lists_.assign(nlist, PostingList{{}, RowStore(dim_, metric_, storage_)});
   assignment_.clear();
   trained_ = true;
   return Status::OK();
@@ -102,38 +102,35 @@ Status IvfFlatIndex::Add(int id, const float* vec) {
   }
   if (id < 0) return Status::InvalidArgument("id must be non-negative");
 
-  std::vector<float> v(vec, vec + dim_);
-  if (metric_ == Metric::kCosine) simd::NormalizeInPlace(v.data(), dim_);
-
-  Posting posting;
-  posting.id = id;
-  if (storage_ == quant::Storage::kSq8) {
-    // Quantize first, then bucket by the DECODED row, so the posting
-    // lives in the centroid list closest to the vector queries actually
-    // score — assignment and search stay in the same space.
-    posting.codes.resize(dim_);
-    posting.qp = quant::Sq8Encode(v.data(), dim_, posting.codes.data());
-    quant::Sq8Decode(posting.codes.data(), dim_, posting.qp, v.data());
-  }
+  // Store the row first, then bucket it by the row as stored (the
+  // DECODED row in sq8 mode), so the posting lives in the centroid list
+  // closest to the vector queries actually score — assignment and search
+  // stay in the same space.
+  RowStore row(dim_, metric_, storage_);
+  row.Append(vec);
+  const size_t list = NearestCentroid(row.RowAsQuery(0).data());
 
   auto it = assignment_.find(id);
   if (it != assignment_.end()) {
-    // Streaming update: remove from the old bucket (swap-with-back).
-    auto [list, pos] = it->second;
-    auto& postings = lists_[list];
-    if (pos != postings.size() - 1) {
-      postings[pos] = std::move(postings.back());
-      assignment_[postings[pos].id] = {list, pos};
-    }
-    postings.pop_back();
+    // Streaming update: remove from the old bucket.
+    RemovePosting(it->second.first, it->second.second);
     assignment_.erase(it);
   }
-
-  const size_t list = NearestCentroid(v.data());
-  if (storage_ != quant::Storage::kSq8) posting.vec = std::move(v);
-  lists_[list].push_back(std::move(posting));
-  assignment_[id] = {list, lists_[list].size() - 1};
+  lists_[list].ids.push_back(id);
+  lists_[list].rows.AppendFrom(row, 0);
+  assignment_[id] = {list, lists_[list].ids.size() - 1};
   return Status::OK();
+}
+
+void IvfFlatIndex::RemovePosting(size_t list, size_t pos) {
+  PostingList& postings = lists_[list];
+  const size_t last = postings.ids.size() - 1;
+  if (pos != last) {
+    postings.ids[pos] = postings.ids[last];
+    assignment_[postings.ids[pos]] = {list, pos};
+  }
+  postings.ids.pop_back();
+  postings.rows.RemoveSwap(pos);
 }
 
 Status IvfFlatIndex::Remove(int id) {
@@ -142,13 +139,7 @@ Status IvfFlatIndex::Remove(int id) {
     return Status::NotFound("id not in index: " + std::to_string(id));
   }
   // True delete: same swap-with-back the streaming-update path uses.
-  auto [list, pos] = it->second;
-  auto& postings = lists_[list];
-  if (pos != postings.size() - 1) {
-    postings[pos] = std::move(postings.back());
-    assignment_[postings[pos].id] = {list, pos};
-  }
-  postings.pop_back();
+  RemovePosting(it->second.first, it->second.second);
   assignment_.erase(it);
   return Status::OK();
 }
@@ -156,12 +147,7 @@ Status IvfFlatIndex::Remove(int id) {
 IndexMemoryStats IvfFlatIndex::memory_stats() const {
   IndexMemoryStats stats;
   stats.embedding_bytes = centroids_.size() * sizeof(float);
-  const size_t rows = assignment_.size();
-  if (storage_ == quant::Storage::kSq8) {
-    stats.code_bytes = rows * (dim_ * sizeof(int8_t) + 2 * sizeof(float));
-  } else {
-    stats.embedding_bytes += rows * dim_ * sizeof(float);
-  }
+  for (const PostingList& postings : lists_) postings.rows.AddMemoryTo(&stats);
   return stats;
 }
 
@@ -173,35 +159,25 @@ StatusOr<std::vector<Neighbor>> IvfFlatIndex::Search(const float* query,
   }
   if (k == 0) return Status::InvalidArgument("k must be positive");
 
-  std::vector<float> qbuf(query, query + dim_);
-  if (metric_ == Metric::kCosine) simd::NormalizeInPlace(qbuf.data(), dim_);
-  const float* q = qbuf.data();
+  // Every list shares one dim, metric and storage, so any of them
+  // prepares the query (a trained index has nlist >= 1 lists).
+  const RowQuery q = lists_.front().rows.PrepareQuery(query);
 
   // Rank centroids by distance and scan the nprobe closest lists.
   const size_t nlist = options_.nlist;
   std::vector<std::pair<float, size_t>> order(nlist);
   for (size_t c = 0; c < nlist; ++c) {
-    order[c] = {simd::SquaredL2(q, &centroids_[c * dim_], dim_), c};
+    order[c] = {simd::SquaredL2(q.data(), &centroids_[c * dim_], dim_), c};
   }
   const size_t nprobe = std::min(options_.nprobe, nlist);
   std::partial_sort(order.begin(), order.begin() + nprobe, order.end());
 
-  float qsum = 0.0f;
-  if (storage_ == quant::Storage::kSq8) {
-    for (size_t i = 0; i < dim_; ++i) qsum += q[i];
-  }
-
   TopKAccumulator acc(k);
   for (size_t p = 0; p < nprobe; ++p) {
-    for (const Posting& posting : lists_[order[p].second]) {
-      if (posting.id == exclude_id) continue;
-      if (storage_ == quant::Storage::kSq8) {
-        const float raw = simd::DotI8(q, posting.codes.data(), dim_);
-        acc.Offer(posting.id,
-                  posting.qp.scale * raw + posting.qp.offset * qsum);
-      } else {
-        acc.Offer(posting.id, simd::Dot(q, posting.vec.data(), dim_));
-      }
+    const PostingList& postings = lists_[order[p].second];
+    for (size_t i = 0; i < postings.ids.size(); ++i) {
+      if (postings.ids[i] == exclude_id) continue;
+      acc.Offer(postings.ids[i], postings.rows.Score(q, i));
     }
   }
   return acc.Take();
@@ -210,9 +186,8 @@ StatusOr<std::vector<Neighbor>> IvfFlatIndex::Search(const float* query,
 // Payload layout:
 //   u8 tag 'I' | u8 storage | u64 dim | u8 trained | u64 nlist
 //   f32 centroid x (nlist * dim)
-//   per list: u64 count | per posting:
-//     fp32: i32 id | f32 vec x dim
-//     sq8:  i32 id | i8 code x dim | f32 scale | f32 offset
+//   per list: u64 count | per posting: i32 id | row
+//     row: fp32 f32 x dim; sq8 i8 code x dim | f32 scale | f32 offset
 // Centroids are persisted rather than re-trained: Train() re-seeds empty
 // clusters from its own RNG, so a re-run could place centroids (and thus
 // postings) differently from the serialized run. assignment_ is derived
@@ -225,18 +200,11 @@ void IvfFlatIndex::SerializeTo(std::string* out) const {
   PutU8(out, trained_ ? 1 : 0);
   PutFixed64(out, static_cast<uint64_t>(lists_.size()));
   PutFloats(out, centroids_.data(), centroids_.size());
-  for (const std::vector<Posting>& postings : lists_) {
-    PutFixed64(out, static_cast<uint64_t>(postings.size()));
-    for (const Posting& posting : postings) {
-      PutI32(out, posting.id);
-      if (storage_ == quant::Storage::kSq8) {
-        out->append(reinterpret_cast<const char*>(posting.codes.data()),
-                    posting.codes.size());
-        PutF32(out, posting.qp.scale);
-        PutF32(out, posting.qp.offset);
-      } else {
-        PutFloats(out, posting.vec.data(), posting.vec.size());
-      }
+  for (const PostingList& postings : lists_) {
+    PutFixed64(out, static_cast<uint64_t>(postings.ids.size()));
+    for (size_t i = 0; i < postings.ids.size(); ++i) {
+      PutI32(out, postings.ids[i]);
+      postings.rows.Serialize(i, 1, out);
     }
   }
 }
@@ -274,41 +242,29 @@ Status IvfFlatIndex::DeserializeFrom(std::string_view in) {
   std::vector<float> centroids;
   SCCF_RETURN_NOT_OK(
       reader.ReadFloats(static_cast<size_t>(nlist) * dim_, &centroids));
-  std::vector<std::vector<Posting>> lists(static_cast<size_t>(nlist));
+  std::vector<PostingList> lists(
+      static_cast<size_t>(nlist),
+      PostingList{{}, RowStore(dim_, metric_, storage_)});
   std::unordered_map<int, std::pair<size_t, size_t>> assignment;
+  const size_t posting_bytes = 4 + RowStore::RowBytes(storage_, dim_);
   for (size_t list = 0; list < lists.size(); ++list) {
     uint64_t count = 0;
     SCCF_RETURN_NOT_OK(reader.ReadFixed64(&count));
-    // Each posting costs at least 4 + dim bytes (sq8) or 4 + 4 * dim
-    // (fp32); bound with the smaller.
-    if (count > reader.remaining() / (4 + dim_)) {
+    if (count > reader.remaining() / posting_bytes) {
       return Status::IoError("truncated index blob (posting list)");
     }
-    lists[list].reserve(static_cast<size_t>(count));
+    PostingList& postings = lists[list];
+    postings.ids.reserve(static_cast<size_t>(count));
     for (uint64_t i = 0; i < count; ++i) {
-      Posting posting;
-      SCCF_RETURN_NOT_OK(reader.ReadI32(&posting.id));
-      if (posting.id < 0) {
-        return Status::InvalidArgument("negative id in index blob");
-      }
-      if (storage_ == quant::Storage::kSq8) {
-        std::string_view raw;
-        SCCF_RETURN_NOT_OK(reader.ReadView(dim_, &raw));
-        posting.codes.assign(
-            reinterpret_cast<const int8_t*>(raw.data()),
-            reinterpret_cast<const int8_t*>(raw.data()) + dim_);
-        SCCF_RETURN_NOT_OK(reader.ReadF32(&posting.qp.scale));
-        SCCF_RETURN_NOT_OK(reader.ReadF32(&posting.qp.offset));
-      } else {
-        SCCF_RETURN_NOT_OK(reader.ReadFloats(dim_, &posting.vec));
-      }
-      if (!assignment
-               .emplace(posting.id,
-                        std::make_pair(list, static_cast<size_t>(i)))
+      int32_t id = 0;
+      SCCF_RETURN_NOT_OK(reader.ReadI32(&id));
+      if (id < 0) return Status::InvalidArgument("negative id in index blob");
+      SCCF_RETURN_NOT_OK(postings.rows.Read(&reader, 1));
+      if (!assignment.emplace(id, std::make_pair(list, static_cast<size_t>(i)))
                .second) {
         return Status::InvalidArgument("duplicate id in index blob");
       }
-      lists[list].push_back(std::move(posting));
+      postings.ids.push_back(id);
     }
   }
   if (!reader.exhausted()) {

@@ -60,22 +60,24 @@ class IvfFlatIndex : public VectorIndex {
   Status DeserializeFrom(std::string_view in) override;
 
  private:
-  struct Posting {
-    int id = -1;
-    std::vector<float> vec;      // fp32 mode: normalised when cosine
-    std::vector<int8_t> codes;   // sq8 mode: dim codes
-    quant::Sq8Params qp;         // sq8 mode: per-row affine params
+  /// One centroid's postings: ids[i] is the id of rows slot i.
+  struct PostingList {
+    std::vector<int> ids;
+    RowStore rows;  // normalised when cosine
   };
 
   size_t NearestCentroid(const float* vec) const;
+  /// Swap-removes position `pos` of list `list` and re-points the id
+  /// moved into it.
+  void RemovePosting(size_t list, size_t pos);
 
   size_t dim_ = 0;
   Metric metric_;
   Options options_;
   quant::Storage storage_ = quant::Storage::kFp32;
   bool trained_ = false;
-  std::vector<float> centroids_;              // nlist x dim
-  std::vector<std::vector<Posting>> lists_;   // per-centroid postings
+  std::vector<float> centroids_;           // nlist x dim
+  std::vector<PostingList> lists_;         // per-centroid postings
   // id -> (list, position) for O(1) streaming reassignment.
   std::unordered_map<int, std::pair<size_t, size_t>> assignment_;
 };

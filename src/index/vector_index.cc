@@ -59,18 +59,11 @@ void UpsertBuffer::Put(int id, const float* vec) {
   }
   if (storage_ == quant::Storage::kSq8) {
     // Encode exactly what the backend's Add will store, so staged and
-    // post-drain scores coincide bit-for-bit.
-    const float* enc = vec;
-    std::vector<float> normed;
-    if (metric_ == Metric::kCosine) {
-      normed.resize(dim_);
-      simd::NormalizeCopy(vec, normed.data(), dim_);
-      enc = normed.data();
-    }
+    // post-drain codes coincide bit-for-bit.
     if (fresh) {
-      codes_.Append(enc);
+      codes_.Append(vec);
     } else {
-      codes_.Set(row, enc);
+      codes_.Set(row, vec);
     }
   }
 }
@@ -78,33 +71,17 @@ void UpsertBuffer::Put(int id, const float* vec) {
 void UpsertBuffer::OfferTo(const float* query, int exclude_id,
                            TopKAccumulator* acc) const {
   if (ids_.empty()) return;
-  std::vector<float> qnorm;
-  const float* q = query;
-  if (metric_ == Metric::kCosine) {
-    qnorm.resize(dim_);
-    simd::NormalizeCopy(query, qnorm.data(), dim_);
-    q = qnorm.data();
-  }
-  if (storage_ == quant::Storage::kSq8) {
-    // Score the staged codes with the same affine int8 dot the backend
-    // uses, so the merged score equals the future indexed score exactly.
-    // Cosine needs no inv-norm factor here: the codes already encode the
-    // normalised row.
-    float qsum = 0.0f;
-    for (size_t i = 0; i < dim_; ++i) qsum += q[i];
-    for (size_t row = 0; row < ids_.size(); ++row) {
-      if (ids_[row] == exclude_id) continue;
-      const quant::Sq8Params p = codes_.params(row);
-      const float score =
-          p.scale * simd::DotI8(q, codes_.row(row), dim_) + p.offset * qsum;
-      acc->Offer(ids_[row], score);
-    }
-    return;
-  }
+  const RowQuery q = codes_.PrepareQuery(query);
   for (size_t row = 0; row < ids_.size(); ++row) {
     if (ids_[row] == exclude_id) continue;
-    float score = simd::Dot(q, data_.data() + row * dim_, dim_);
-    if (metric_ == Metric::kCosine) score *= inv_norms_[row];
+    float score;
+    if (storage_ == quant::Storage::kSq8) {
+      // The codes already encode the normalised row: no inv-norm factor.
+      score = codes_.Score(q, row);
+    } else {
+      score = simd::Dot(q.data(), data_.data() + row * dim_, dim_);
+      if (metric_ == Metric::kCosine) score *= inv_norms_[row];
+    }
     acc->Offer(ids_[row], score);
   }
 }

@@ -5,31 +5,16 @@
 #include <unordered_map>
 #include <vector>
 
+#include "index/row_store.h"
 #include "quant/sq8.h"
 #include "util/status.h"
 
 namespace sccf::index {
 
-/// Similarity metric for vector search. Cosine is implemented by storing
-/// L2-normalised copies, after which inner product equals cosine.
-enum class Metric { kInnerProduct, kCosine };
-
 /// One search hit: external id plus similarity score (higher is better).
 struct Neighbor {
   int id = -1;
   float score = 0.0f;
-};
-
-/// Bytes and structural debt a backend currently holds, split by
-/// representation so operators can see what a storage-mode switch buys.
-/// embedding_bytes counts fp32 row storage (including IVF centroids and
-/// HNSW tombstoned nodes — they occupy RAM until a rebuild). code_bytes
-/// counts SQ8 codes plus their per-row scale/offset params. tombstones is
-/// the count of dead-but-resident entries (only HNSW accrues them).
-struct IndexMemoryStats {
-  size_t embedding_bytes = 0;
-  size_t code_bytes = 0;
-  size_t tombstones = 0;
 };
 
 /// Dynamic nearest-neighbor index over float vectors, the substrate the
@@ -163,19 +148,18 @@ class TopKAccumulator {
 ///
 /// Vectors are stored raw: DrainTo hands the backend exactly the bytes a
 /// direct Add would have received, so a drain is bit-identical to having
-/// called Add with each id's final vector. Cosine scoring in OfferTo
-/// normalises on the fly instead (score = <q/|q|, v> / |v|, zero norms
-/// score 0), matching the backends' normalised-copy semantics to within
-/// rounding.
+/// called Add with each id's final vector. Raw rows are also what shard
+/// snapshots persist for staged upserts, in either storage mode.
 ///
-/// In sq8 mode the buffer additionally quantizes each staged row exactly
-/// as the backend's Add will (normalise-then-encode for cosine), and
-/// OfferTo scores the *codes* with the affine int8 dot — so a staged
-/// row's merged score is bit-identical to its post-drain indexed score,
-/// and queries never observe a drain. DrainTo still hands the backend
-/// the raw fp32 row (encoding is deterministic, so the backend derives
-/// the same codes), which keeps shard snapshots of staged rows in plain
-/// fp32 regardless of storage mode.
+/// Staged scores follow the storage mode:
+///  - fp32: OfferTo scores the raw row on the fly, <q/|q|, v> / |v| for
+///    cosine (zero norms score 0): the backend's score on its stored
+///    normalised copy up to rounding, not bit-for-bit.
+///  - sq8: Put also writes each row into a RowStore, which normalises and
+///    encodes exactly as the backend's Add will, so staged codes equal the
+///    post-drain codes bit-for-bit. OfferTo scores them with the per-row
+///    affine int8 dot: the exact post-drain score on IVF and HNSW, and
+///    within rounding of brute force's batched kernel.
 ///
 /// Not internally synchronized — same contract as VectorIndex; the owner
 /// guards it with the same lock as the index it stages for.
@@ -183,7 +167,8 @@ class UpsertBuffer {
  public:
   UpsertBuffer(size_t dim, Metric metric,
                quant::Storage storage = quant::Storage::kFp32)
-      : dim_(dim), metric_(metric), storage_(storage), codes_(dim) {}
+      : dim_(dim), metric_(metric), storage_(storage),
+        codes_(dim, metric, storage) {}
 
   /// Stages a copy of `vec` (dim floats) for `id`. Pre: id >= 0.
   void Put(int id, const float* vec);
@@ -226,7 +211,7 @@ class UpsertBuffer {
   std::vector<int> ids_;                   // row -> external id
   std::vector<float> data_;                // ids_.size() x dim_, raw rows
   std::vector<float> inv_norms_;           // 1/|row| (0 for zero rows)
-  quant::Sq8Store codes_;                  // sq8 mode: backend-identical codes
+  RowStore codes_;  // sq8: backend-identical codes; fp32: query prep only
   std::unordered_map<int, size_t> pos_;    // external id -> row
 };
 

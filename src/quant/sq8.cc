@@ -63,42 +63,4 @@ void Sq8Decode(const int8_t* codes, size_t n, Sq8Params params, float* out) {
   }
 }
 
-size_t Sq8Store::Append(const float* row) {
-  const size_t slot = scales_.size();
-  codes_.resize(codes_.size() + dim_);
-  const Sq8Params p = Sq8Encode(row, dim_, codes_.data() + slot * dim_);
-  scales_.push_back(p.scale);
-  offsets_.push_back(p.offset);
-  return slot;
-}
-
-void Sq8Store::Set(size_t slot, const float* row) {
-  const Sq8Params p = Sq8Encode(row, dim_, codes_.data() + slot * dim_);
-  scales_[slot] = p.scale;
-  offsets_[slot] = p.offset;
-}
-
-void Sq8Store::AppendEncoded(const int8_t* codes, Sq8Params params) {
-  codes_.insert(codes_.end(), codes, codes + dim_);
-  scales_.push_back(params.scale);
-  offsets_.push_back(params.offset);
-}
-
-void Sq8Store::RemoveSwap(size_t slot) {
-  const size_t last = scales_.size() - 1;
-  if (slot != last) {
-    std::copy(codes_.begin() + last * dim_, codes_.begin() + (last + 1) * dim_,
-              codes_.begin() + slot * dim_);
-    scales_[slot] = scales_[last];
-    offsets_[slot] = offsets_[last];
-  }
-  codes_.resize(last * dim_);
-  scales_.pop_back();
-  offsets_.pop_back();
-}
-
-void Sq8Store::DecodeRow(size_t slot, float* out) const {
-  Sq8Decode(codes_.data() + slot * dim_, dim_, params(slot), out);
-}
-
 }  // namespace sccf::quant

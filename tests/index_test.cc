@@ -799,6 +799,8 @@ class ScalarKernels {
     SCCF_CHECK(simd::ForceVariant(simd::Variant::kScalar).ok());
   }
   ~ScalarKernels() { SCCF_CHECK(simd::ForceVariant(before_).ok()); }
+  ScalarKernels(const ScalarKernels&) = delete;
+  ScalarKernels& operator=(const ScalarKernels&) = delete;
 
  private:
   simd::Variant before_;
@@ -995,6 +997,125 @@ TEST(IndexFormatFreezeTest, TruncationSweepRejectsEveryPrefix) {
     target->SerializeTo(&restored);
     EXPECT_EQ(restored, blob);
   }
+}
+
+// ------------------------------------------------------- hostile blobs
+
+// Well-framed blobs whose structure lies. Each must be rejected before the
+// target changes, since Search trusts the decoded structure.
+
+struct CraftedNode {
+  int level;
+  std::vector<std::vector<int>> neighbors;  // per level 0..level
+};
+
+std::string CraftHnswBlob(size_t d, int entry_point, int max_level,
+                          const std::vector<CraftedNode>& nodes) {
+  std::string blob;
+  PutU8(&blob, 'H');
+  PutU8(&blob, static_cast<uint8_t>(quant::Storage::kFp32));
+  PutFixed64(&blob, d);
+  PutI32(&blob, entry_point);
+  PutI32(&blob, max_level);
+  for (uint64_t s = 1; s <= 4; ++s) PutFixed64(&blob, s);  // rng state
+  PutU8(&blob, 0);
+  PutF32(&blob, 0.0f);
+  PutFixed64(&blob, nodes.size());
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    PutI32(&blob, static_cast<int>(i));  // external id
+    PutU8(&blob, 0);                      // live
+    PutI32(&blob, nodes[i].level);
+    const std::vector<float> row(d, 1.0f + static_cast<float>(i));
+    PutFloats(&blob, row.data(), d);
+    for (const std::vector<int>& nbs : nodes[i].neighbors) {
+      PutFixed64(&blob, nbs.size());
+      for (int nb : nbs) PutI32(&blob, nb);
+    }
+  }
+  return blob;
+}
+
+TEST(HostileBlobTest, HnswRejectsGraphLevelsItWouldReadPast) {
+  const size_t d = 4;
+  HnswIndex target(d, Metric::kCosine, HnswIndex::Options{});
+  const float v[d] = {1, 2, 3, 4};
+  ASSERT_TRUE(target.Add(9, v).ok());
+  std::string before;
+  target.SerializeTo(&before);
+
+  // Control: a consistent two-level graph decodes and searches.
+  {
+    HnswIndex ok(d, Metric::kCosine, HnswIndex::Options{});
+    ASSERT_TRUE(ok.DeserializeFrom(CraftHnswBlob(
+                                       d, 0, 1,
+                                       {{1, {{1}, {1}}}, {1, {{0}, {0}}}}))
+                    .ok());
+    auto hits = ok.Search(v, 2);
+    ASSERT_TRUE(hits.ok());
+    EXPECT_EQ(hits->size(), 2u);
+  }
+
+  const std::string cases[] = {
+      // max_level 3, but the entry point (and every node) sits at 0.
+      CraftHnswBlob(d, 0, 3, {{0, {{1}}}, {0, {{0}}}}),
+      // A level-1 edge into a node that only has level 0.
+      CraftHnswBlob(d, 0, 1, {{1, {{1}, {1}}}, {0, {{0}}}}),
+  };
+  for (const std::string& blob : cases) {
+    const Status st = target.DeserializeFrom(blob);
+    EXPECT_FALSE(st.ok());
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+    std::string after;
+    target.SerializeTo(&after);
+    EXPECT_EQ(after, before);
+  }
+}
+
+std::string CraftBruteForceBlob(size_t d, bool ids_are_slots,
+                                const std::vector<int>& ids) {
+  std::string blob;
+  PutU8(&blob, 'B');
+  PutU8(&blob, static_cast<uint8_t>(quant::Storage::kFp32));
+  PutU8(&blob, ids_are_slots ? 1 : 0);
+  PutFixed64(&blob, d);
+  PutFixed64(&blob, ids.size());
+  for (int id : ids) PutI32(&blob, id);
+  for (size_t i = 0; i < ids.size(); ++i) {
+    const std::vector<float> row(d, 1.0f + static_cast<float>(i));
+    PutFloats(&blob, row.data(), d);
+  }
+  return blob;
+}
+
+TEST(HostileBlobTest, BruteForceRejectsIdsAreSlotsFlagThatLies) {
+  const size_t d = 4;
+  const float q[d] = {1, 1, 1, 1};
+  BruteForceIndex target(d, Metric::kInnerProduct);
+  ASSERT_TRUE(target.Add(0, q).ok());
+  std::string before;
+  target.SerializeTo(&before);
+
+  // The flag set with ids != slots would make Search report slot numbers
+  // (0, 1) as user ids.
+  const Status st =
+      target.DeserializeFrom(CraftBruteForceBlob(d, true, {5, 3}));
+  EXPECT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  std::string after;
+  target.SerializeTo(&after);
+  EXPECT_EQ(after, before);
+
+  // A clear flag is always legal (the conservative value after a
+  // Remove), and a true one is accepted when it holds.
+  ASSERT_TRUE(
+      target.DeserializeFrom(CraftBruteForceBlob(d, false, {5, 3})).ok());
+  auto hits = target.Search(q, 2);
+  ASSERT_TRUE(hits.ok());
+  ASSERT_EQ(hits->size(), 2u);
+  EXPECT_EQ((*hits)[0].id, 3);  // row 1 (all 2s) scores highest
+  EXPECT_EQ((*hits)[1].id, 5);
+  ASSERT_TRUE(
+      target.DeserializeFrom(CraftBruteForceBlob(d, true, {0, 1})).ok());
 }
 
 }  // namespace

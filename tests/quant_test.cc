@@ -1,9 +1,9 @@
 // Codec properties of the SQ8 scalar quantizer (src/quant/sq8.h):
 // deterministic encode, bounded reconstruction error, exact handling of
 // the degenerate rows (constant, zero, single-element), saturation at
-// the +/-127 code bounds, and Sq8Store's append/set/remove-swap
-// bookkeeping including the dim+8-bytes-per-row accounting the memory
-// stats build on.
+// the +/-127 code bounds, and index::RowStore's append/set/remove-swap
+// bookkeeping, scoring and serialization in every storage x metric mode,
+// including the dim+8-bytes-per-row accounting the memory stats build on.
 
 #include "quant/sq8.h"
 
@@ -11,8 +11,13 @@
 
 #include <cmath>
 #include <cstdint>
+#include <string>
+#include <tuple>
 #include <vector>
 
+#include "index/row_store.h"
+#include "simd/kernels.h"
+#include "util/coding.h"
 #include "util/random.h"
 
 namespace sccf::quant {
@@ -101,11 +106,35 @@ TEST(Sq8CodecTest, ConstantRowHasZeroScaleAndIsLossless) {
   }
 }
 
-TEST(Sq8StoreTest, AppendSetRemoveSwapAndByteAccounting) {
+// index::RowStore holds every backend's rows; its writes, scoring and
+// serialization are exercised here on all four storage x metric modes.
+class RowStoreTest
+    : public ::testing::TestWithParam<std::tuple<Storage, index::Metric>> {
+ protected:
+  Storage storage() const { return std::get<0>(GetParam()); }
+  index::Metric metric() const { return std::get<1>(GetParam()); }
+
+  // What the store should hold for `row`: normalised for cosine.
+  std::vector<float> Expected(const std::vector<float>& row) const {
+    std::vector<float> out(row);
+    if (metric() == index::Metric::kCosine) {
+      simd::NormalizeCopy(row.data(), out.data(), row.size());
+    }
+    return out;
+  }
+
+  static std::string RowBytesOf(const index::RowStore& store, size_t slot) {
+    std::string out;
+    store.Serialize(slot, 1, &out);
+    return out;
+  }
+};
+
+TEST_P(RowStoreTest, AppendSetRemoveSwapAndByteAccounting) {
   Rng rng(99);
   const size_t dim = 32;
-  Sq8Store store(dim);
-  EXPECT_TRUE(store.empty());
+  index::RowStore store(dim, metric(), storage());
+  EXPECT_EQ(store.size(), 0u);
 
   std::vector<std::vector<float>> rows;
   for (int i = 0; i < 5; ++i) {
@@ -113,57 +142,112 @@ TEST(Sq8StoreTest, AppendSetRemoveSwapAndByteAccounting) {
     EXPECT_EQ(store.Append(rows.back().data()), static_cast<size_t>(i));
   }
   EXPECT_EQ(store.size(), 5u);
-  // dim code bytes + 2 floats of params per row.
-  EXPECT_EQ(store.code_bytes(), 5 * (dim + 2 * sizeof(float)));
+  const size_t row_bytes = storage() == Storage::kSq8
+                               ? dim + 2 * sizeof(float)  // codes + params
+                               : dim * sizeof(float);
+  EXPECT_EQ(index::RowStore::RowBytes(storage(), dim), row_bytes);
+  EXPECT_EQ(store.memory_bytes(), 5 * row_bytes);
+  index::IndexMemoryStats stats;
+  store.AddMemoryTo(&stats);
+  EXPECT_EQ(stats.embedding_bytes + stats.code_bytes, 5 * row_bytes);
+  EXPECT_EQ(stats.code_bytes == 0, storage() == Storage::kFp32);
 
-  // Set re-encodes in place.
+  // Set rewrites in place.
   rows[2] = RandomRow(rng, dim);
   store.Set(2, rows[2].data());
 
-  // Every slot decodes to (a quantization of) its row.
+  // Every slot, used as the query side, is its (normalised) row: exact
+  // for fp32, the decode of its codes for sq8, within half a step.
   for (size_t s = 0; s < store.size(); ++s) {
+    const std::vector<float> want = Expected(rows[s]);
+    const index::RowQuery q = store.RowAsQuery(s);
+    if (storage() == Storage::kFp32) {
+      for (size_t i = 0; i < dim; ++i) ASSERT_EQ(q.data()[i], want[i]);
+      continue;
+    }
+    std::vector<int8_t> codes(dim);
+    const Sq8Params p = Sq8Encode(want.data(), dim, codes.data());
     std::vector<float> decoded(dim);
-    store.DecodeRow(s, decoded.data());
-    const Sq8Params p = store.params(s);
+    Sq8Decode(codes.data(), dim, p, decoded.data());
     for (size_t i = 0; i < dim; ++i) {
-      ASSERT_NEAR(decoded[i], rows[s][i], 0.5f * p.scale + 1e-6f);
+      ASSERT_EQ(q.data()[i], decoded[i]);
+      ASSERT_NEAR(q.data()[i], want[i], 0.5f * p.scale + 1e-6f);
     }
   }
 
-  // RemoveSwap(1): last row (4) moves into slot 1.
-  const Sq8Params last_params = store.params(4);
-  std::vector<int8_t> last_codes(store.row(4), store.row(4) + dim);
+  // Per-row, block and top-k scores agree and track the true similarity.
+  const std::vector<float> query = RandomRow(rng, dim);
+  const index::RowQuery q = store.PrepareQuery(query.data());
+  float block[5];
+  store.ScoreBlock(q, 0, store.size(), block);
+  std::vector<std::pair<int, float>> top;
+  store.TopK(q, 3, /*exclude_slot=*/1, &top);
+  ASSERT_EQ(top.size(), 3u);
+  for (size_t s = 0; s < store.size(); ++s) {
+    const std::vector<float> want = Expected(rows[s]);
+    const float exact = simd::Dot(q.data(), want.data(), dim);
+    EXPECT_NEAR(store.Score(q, s), exact, 0.05f);
+    EXPECT_NEAR(block[s], store.Score(q, s), 1e-5f);
+  }
+  for (const auto& [slot, score] : top) {
+    EXPECT_NE(slot, 1);
+    EXPECT_NEAR(score, store.Score(q, slot), 1e-5f);
+  }
+
+  // RemoveSwap(1): the last row (4) moves into slot 1 verbatim.
+  const std::string last = RowBytesOf(store, 4);
   store.RemoveSwap(1);
   EXPECT_EQ(store.size(), 4u);
-  EXPECT_EQ(store.params(1).scale, last_params.scale);
-  EXPECT_EQ(store.params(1).offset, last_params.offset);
-  for (size_t i = 0; i < dim; ++i) {
-    ASSERT_EQ(store.row(1)[i], last_codes[i]);
-  }
+  EXPECT_EQ(RowBytesOf(store, 1), last);
+  EXPECT_EQ(store.memory_bytes(), 4 * row_bytes);
 
-  // AppendEncoded restores verbatim (the deserialize path).
-  Sq8Store copy(dim);
+  // AppendFrom copies verbatim, and both layouts round-trip bit-exactly.
+  index::RowStore copy(dim, metric(), storage());
+  for (size_t s = 0; s < store.size(); ++s) copy.AppendFrom(store, s);
+  std::string columns, copy_columns, rows_blob;
+  store.Serialize(0, store.size(), &columns);
+  copy.Serialize(0, copy.size(), &copy_columns);
+  EXPECT_EQ(columns, copy_columns);
+  EXPECT_EQ(columns.size(), store.memory_bytes());
+  for (size_t s = 0; s < store.size(); ++s) rows_blob += RowBytesOf(store, s);
+
+  index::RowStore from_columns(dim, metric(), storage());
+  ByteReader col_reader(columns);
+  ASSERT_TRUE(from_columns.Read(&col_reader, store.size()).ok());
+  EXPECT_TRUE(col_reader.exhausted());
+  index::RowStore from_rows(dim, metric(), storage());
+  ByteReader row_reader(rows_blob);
   for (size_t s = 0; s < store.size(); ++s) {
-    copy.AppendEncoded(store.row(s), store.params(s));
+    ASSERT_TRUE(from_rows.Read(&row_reader, 1).ok());
   }
+  EXPECT_TRUE(row_reader.exhausted());
   for (size_t s = 0; s < store.size(); ++s) {
-    for (size_t i = 0; i < dim; ++i) {
-      ASSERT_EQ(copy.row(s)[i], store.row(s)[i]);
-    }
+    EXPECT_EQ(RowBytesOf(from_columns, s), RowBytesOf(store, s));
+    EXPECT_EQ(RowBytesOf(from_rows, s), RowBytesOf(store, s));
   }
+  // A short buffer is a clean error.
+  ByteReader short_reader(std::string_view(columns).substr(1));
+  index::RowStore partial(dim, metric(), storage());
+  EXPECT_FALSE(partial.Read(&short_reader, store.size()).ok());
 
   store.clear();
-  EXPECT_TRUE(store.empty());
-  EXPECT_EQ(store.code_bytes(), 0u);
+  EXPECT_EQ(store.size(), 0u);
+  EXPECT_EQ(store.memory_bytes(), 0u);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    StorageByMetric, RowStoreTest,
+    ::testing::Combine(::testing::Values(Storage::kFp32, Storage::kSq8),
+                       ::testing::Values(index::Metric::kInnerProduct,
+                                         index::Metric::kCosine)));
 
 // The headline claim of the storage mode: per-row bytes drop >= 3x vs
 // fp32 for every realistic embedding dim (dim 32 is the server default).
 TEST(Sq8StoreTest, PerRowBytesAtLeast3xSmallerThanFp32) {
   for (size_t dim : {32u, 64u, 128u, 256u}) {
-    const size_t fp32_bytes = dim * sizeof(float);
-    const size_t sq8_bytes = dim + 2 * sizeof(float);
-    EXPECT_GE(fp32_bytes, 3 * sq8_bytes) << "dim=" << dim;
+    EXPECT_GE(index::RowStore::RowBytes(Storage::kFp32, dim),
+              3 * index::RowStore::RowBytes(Storage::kSq8, dim))
+        << "dim=" << dim;
   }
 }
 
